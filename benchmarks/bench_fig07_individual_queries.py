@@ -39,10 +39,10 @@ def test_individual_query(benchmark, spark, request, dataset, method, qname):
     }[(dataset, method)]
     ex = request.getfixturevalue(fixture)
     harness.warmup(spark, ex.store)
-    ex.store.io_delay_ms = IO_DELAY_MS
     q = _query(ex.store.spec, qname)
     t0 = time.perf_counter()
     try:
+        ex.store.io_delay_ms = IO_DELAY_MS
         r = benchmark.pedantic(lambda: q.run(ex), rounds=1, iterations=1)
     finally:
         ex.store.io_delay_ms = 0.0

@@ -4,11 +4,11 @@ All three baselines in the paper load *every* mask that satisfies the
 relational (metadata) predicates and compute exact CP on it; Table 2
 shows identical load counts and Figure 7 shows the same I/O-bound
 execution time for all three. We therefore implement the class once,
-faithfully: a Spark scan over the same store that loads every targeted
-mask and evaluates the query exactly, with no index. The engine and the
-baseline share the exact-CP kernels (:mod:`repro.core.verify`), so the
-only difference measured is the number of masks loaded — precisely the
-paper's claim.
+faithfully: every targeted mask of the same store is loaded and the
+query is evaluated exactly, with no index. The engine and the baseline
+call the same exact-evaluation kernels (:mod:`repro.core.verify`), so
+the only difference measured is the number of masks loaded — precisely
+the paper's claim.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from pyspark.sql import SparkSession
 
 from repro.core import verify
 from repro.core.cp import CPTerm
-from repro.core.executor import GT, FilterPredicate, QueryResult, QueryStats
-from repro.maskstore import datasource
+from repro.core.executor import GT, FilterPredicate, QueryResult, QueryStats, counts_opens
 from repro.maskstore.store import MaskStore
 
 
@@ -29,7 +28,6 @@ class FullScanBaseline:
     def __init__(self, spark: SparkSession, store: MaskStore):
         self.spark = spark
         self.store = store
-        datasource.register(spark)
         self.meta = store.metadata_pandas(spark)
 
     def _target(self, model_id=None, mask_ids=None, image_ids=None) -> pd.DataFrame:
@@ -46,6 +44,7 @@ class FullScanBaseline:
         n = len(meta)
         return QueryStats(n_targeted=n, n_verified=n, masks_loaded=n)
 
+    @counts_opens
     def filter(
         self, pred: FilterPredicate, model_id=None, mask_ids=None
     ) -> QueryResult:
@@ -62,6 +61,7 @@ class FullScanBaseline:
         )
         return QueryResult(out, self._stats(meta))
 
+    @counts_opens
     def topk(
         self, term: CPTerm, k: int, descending=True, model_id=None, mask_ids=None
     ) -> QueryResult:
@@ -74,6 +74,7 @@ class FullScanBaseline:
             exact.head(k)[["mask_id", "val"]].reset_index(drop=True), self._stats(meta)
         )
 
+    @counts_opens
     def topk_ratio(
         self, num: CPTerm, den: CPTerm, k: int, descending=False, model_id=None, mask_ids=None
     ) -> QueryResult:
@@ -86,6 +87,7 @@ class FullScanBaseline:
             exact.head(k)[["mask_id", "val"]].reset_index(drop=True), self._stats(meta)
         )
 
+    @counts_opens
     def agg_topk(
         self, term: CPTerm, k: int, descending=True, model_ids=None, image_ids=None
     ) -> QueryResult:
@@ -102,6 +104,7 @@ class FullScanBaseline:
         agg = agg.sort_values(["val", "image_id"], ascending=[not descending, True])
         return QueryResult(agg.head(k).reset_index(drop=True), self._stats(meta))
 
+    @counts_opens
     def maskagg_topk(
         self, t: float, roi, k: int, descending=True, model_ids=None, image_ids=None
     ) -> QueryResult:

@@ -5,17 +5,17 @@ The engine executes the paper's query classes over a
 
 - **filter** (§3.2, §3.3): ``F(CP_1, ..., CP_n) op T`` where ``F`` is a
   monotone linear combination. The *filter stage* computes certified
-  bounds per mask from CHI alone, prunes guaranteed-fail masks, accepts
-  guaranteed-pass masks; the *verification stage* loads only the
-  remaining candidates (through the ``maskstore`` DataSourceV2, whose
-  pushed-down ``mask_id IN (...)`` predicate prunes file reads) and
-  evaluates the exact predicate.
-- **top-k** (§3.5): the paper's sequential running-threshold scan is
-  replaced by the distributed two-phase equivalent (DESIGN.md §4):
-  ``tau`` = k-th best *lower* bound (DESC) / *upper* bound (ASC); every
-  mask whose bound interval can beat ``tau`` is verified.
+  bounds per mask from the in-memory CHI alone, prunes guaranteed-fail
+  masks, accepts guaranteed-pass masks; the *verification stage* loads
+  only the remaining candidates (:mod:`repro.core.verify`, which reads
+  exactly those ``.npy`` files) and evaluates the exact predicate.
+- **top-k** (§3.5): batched threshold refinement
+  (:meth:`MaskSearchEngine._topk_refine`, DESIGN.md §4): ``tau`` starts
+  at the k-th best *lower* bound (DESC) / *upper* bound (ASC) and
+  tightens as verified exact values accumulate; every mask whose bound
+  interval can still beat ``tau`` is verified.
 - **scalar aggregation** (§3.4, Q4): per-group (image) bounds are the
-  monotone aggregate (mean) of per-mask bounds; two-phase top-k over
+  monotone aggregate (mean) of per-mask bounds; top-k refinement over
   groups.
 - **mask aggregation** (§3.4, Q5): ``CP(INTERSECT(m_i >= t), roi,
   (t, 1))`` bounded from the *individual* mask CHIs:
@@ -24,23 +24,23 @@ The engine executes the paper's query classes over a
   interval division.
 
 Every result records :class:`QueryStats` whose ``masks_loaded`` is the
-paper's Table 2 metric: the number of masks read from disk during
-execution.
+paper's Table 2 metric, the number of masks the executor decided to read
+from disk, and whose ``masks_opened`` is the number the store actually
+opened during the query (:func:`counts_opens`); the two must be equal.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import verify
 from repro.core.bounds import cp_bounds_batch
 from repro.core.chi import ChiIndex
 from repro.core.cp import CPTerm
-from repro.maskstore import datasource
 from repro.maskstore.store import MaskStore
 
 GT, LT = ">", "<"
@@ -56,11 +56,28 @@ class QueryStats:
     n_accepted: int = 0
     n_verified: int = 0
     masks_loaded: int = 0
+    #: Mask files the store opened during the query, counted in
+    #: :meth:`MaskStore.load_mask`: a measurement of ``masks_loaded``.
+    masks_opened: int = 0
 
     @property
     def fml(self) -> float:
         """Fraction of masks loaded (§4.4)."""
         return self.masks_loaded / self.n_targeted if self.n_targeted else 0.0
+
+
+def counts_opens(method):
+    """Set the returned ``QueryResult``'s ``stats.masks_opened`` to the
+    mask files ``self.store`` opened while ``method`` ran."""
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        before = self.store.masks_opened
+        res = method(self, *args, **kwargs)
+        res.stats.masks_opened = self.store.masks_opened - before
+        return res
+
+    return wrapper
 
 
 @dataclass
@@ -115,7 +132,6 @@ class MaskSearchEngine:
         self.spark = spark
         self.store = store
         self.index = index
-        datasource.register(spark)
         self.meta = store.metadata_pandas(spark)
         self.w = store.spec.width
         self.h = store.spec.height
@@ -162,13 +178,12 @@ class MaskSearchEngine:
         return lo, hi
 
     # ------------------------------------------------------------------
-    # verification stage (mask I/O through the DataSourceV2)
+    # verification stage (mask I/O)
     # ------------------------------------------------------------------
     def exact_cp(
         self, meta: pd.DataFrame, terms: tuple[CPTerm, ...]
     ) -> pd.DataFrame:
-        """Load the masks in ``meta`` from disk (Catalyst pushes the
-        ``mask_id IN`` predicate into the store scan) and compute exact
+        """Load exactly the masks in ``meta`` from disk and compute exact
         CP for every term. Returns ``mask_id, image_id, cp_0..cp_{n-1}``.
         """
         return verify.exact_cp_pdf(self.spark, self.store, meta, terms)
@@ -176,6 +191,7 @@ class MaskSearchEngine:
     # ------------------------------------------------------------------
     # query classes
     # ------------------------------------------------------------------
+    @counts_opens
     def filter(
         self,
         pred: FilterPredicate,
@@ -218,22 +234,6 @@ class MaskSearchEngine:
         ).sort_values("mask_id").reset_index(drop=True)
         return QueryResult(result, stats)
 
-    def _two_phase_candidates(
-        self, lo: np.ndarray, hi: np.ndarray, k: int, descending: bool
-    ) -> np.ndarray:
-        """Boolean candidate mask for a single-round two-phase top-k:
-        ``tau`` = k-th best *lower* bound, candidates = every entity whose
-        interval can reach ``tau``. Kept for tests/comparison; the engine
-        uses the stronger :meth:`_topk_refine`."""
-        n = len(lo)
-        if n <= k:
-            return np.ones(n, dtype=bool)
-        if descending:
-            tau = np.partition(lo, n - k)[n - k]  # k-th largest lower bound
-            return hi >= tau
-        tau = np.partition(hi, k - 1)[k - 1]  # k-th smallest upper bound
-        return lo <= tau
-
     def _topk_refine(
         self,
         keys: np.ndarray,
@@ -244,19 +244,18 @@ class MaskSearchEngine:
         exact_fn,
         loads_per_key: np.ndarray,
     ) -> tuple[pd.DataFrame, int, int]:
-        """Batched threshold-refinement top-k (paper §3.5, distributed).
+        """Batched threshold-refinement top-k (paper §3.5).
 
         The paper processes masks sequentially, pruning each whose upper
-        bound cannot beat the running k-th-best exact value. The
-        distributed equivalent verifies *batches* of the highest-upper-
-        bound entities, tightening the running threshold ``tau`` =
+        bound cannot beat the running k-th-best exact value. The batched
+        equivalent verifies *batches* of the highest-upper-bound entities, tightening the running threshold ``tau`` =
         max(k-th best lower bound, k-th best verified exact) after each
         round, until no unverified entity's interval can reach ``tau``.
         Ties are handled soundly (``hi >= tau`` stays a candidate) and
         broken by key ascending, matching the oracle's ORDER BY.
 
         ``exact_fn(sel_keys) -> pdf[key, val]`` runs one verification
-        job; it may omit keys that are excluded from the ranking (e.g. a
+        round; it may omit keys that are excluded from the ranking (e.g. a
         zero denominator). ``loads_per_key[i]`` is the number of masks a
         verification of ``keys[i]`` loads. Returns
         ``(result_pdf[key, val], n_verified_keys, masks_loaded)``.
@@ -270,7 +269,7 @@ class MaskSearchEngine:
         tau = float(np.partition(LO, n - k)[n - k]) if n > k else -np.inf
         # First round verifies just enough to establish a running
         # threshold; later rounds grow geometrically to bound the number
-        # of Spark jobs. This mirrors the paper's sequential scan whose
+        # of rounds. This mirrors the paper's sequential scan whose
         # threshold tightens as exact values accumulate.
         batch = max(2 * k, 32)
         verified: dict[int, float] = {}  # key -> signed exact value
@@ -302,6 +301,7 @@ class MaskSearchEngine:
         n_verified = int((~unverified).sum())
         return res.reset_index(drop=True), n_verified, loaded
 
+    @counts_opens
     def topk(
         self,
         term: CPTerm,
@@ -333,6 +333,7 @@ class MaskSearchEngine:
         out["val"] = out["val"].astype(np.int64)
         return QueryResult(out, stats)
 
+    @counts_opens
     def topk_ratio(
         self,
         num: CPTerm,
@@ -388,6 +389,7 @@ class MaskSearchEngine:
         )
         return QueryResult(res.rename(columns={"key": "mask_id"}), stats)
 
+    @counts_opens
     def agg_topk(
         self,
         term: CPTerm,
@@ -438,6 +440,7 @@ class MaskSearchEngine:
         )
         return QueryResult(res.rename(columns={"key": "image_id"}), stats)
 
+    @counts_opens
     def maskagg_topk(
         self,
         t: float,
@@ -501,9 +504,8 @@ class MaskSearchEngine:
     def exact_maskagg_cp(
         self, meta: pd.DataFrame, t: float, term: CPTerm
     ) -> pd.DataFrame:
-        """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))``:
-        a grouped ``applyInPandas`` over the store scan, so each image's
-        masks are aggregated where they land after the shuffle."""
+        """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))``
+        over the masks in ``meta``. Returns ``image_id, val``."""
         return verify.exact_maskagg_pdf(self.spark, self.store, meta, t, term)
 
 

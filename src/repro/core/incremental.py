@@ -17,7 +17,14 @@ from pyspark.sql import SparkSession
 
 from repro.core import verify
 from repro.core.chi import ChiConfig, ChiIndex
-from repro.core.executor import GT, FilterPredicate, MaskSearchEngine, QueryResult, QueryStats
+from repro.core.executor import (
+    GT,
+    FilterPredicate,
+    MaskSearchEngine,
+    QueryResult,
+    QueryStats,
+    counts_opens,
+)
 from repro.maskstore.store import MaskStore
 
 
@@ -35,6 +42,7 @@ class IncrementalSession:
     def n_indexed(self) -> int:
         return len(self.index)
 
+    @counts_opens
     def filter(
         self,
         pred: FilterPredicate,
@@ -44,7 +52,7 @@ class IncrementalSession:
         """Filter query with on-the-fly indexing of first-touch masks.
 
         One pass: the CHI filter stage decides already-indexed masks
-        (accept / prune / verify); a *single* store scan then covers
+        (accept / prune / verify); a *single* load of each mask then covers
         first-touch masks (exact CP + CHI build) and indexed masks that
         need verification (exact CP only), as in the paper's §3.6.
         """

@@ -1,76 +1,74 @@
 """Exact-evaluation kernels shared by the verification stage and the
 full-scan baselines.
 
-Both load masks through the ``maskstore`` DataSourceV2 (so Catalyst
-pushes the ``mask_id IN (...)`` predicate into the file scan) and
-compute exact CP values with Arrow-vectorised ``mapInPandas`` /
-``applyInPandas`` kernels. The *only* difference between MaskSearch and
-the baselines is which ``mask_id`` set reaches these functions.
+Each function reads the masks in ``meta`` with
+:meth:`~repro.maskstore.store.MaskStore.load_mask` and reduces each one
+to what the query needs (its CPs, its CHI, or its image's intersection)
+before dropping it, so a worker never holds more than one mask (one
+image's masks for mask aggregation). The loads run on the driver in a
+thread pool as wide as the Spark session's task slots
+(``defaultParallelism``): the concurrency a Spark scan of the store reads
+with, so the simulated-EBS delay slept inside each load costs the same,
+without a Spark job's fixed cost per verification round. The *only*
+difference between MaskSearch and the baselines is which ``mask_id`` set
+reaches these functions.
 """
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.chi import ChiConfig, build_chi_array
 from repro.core.cp import CPTerm, cp, intersect_threshold
-from repro.maskstore import datasource
 from repro.maskstore.store import MaskStore
 
 
-#: Above this candidate-set size, ids are shipped via the ``maskids``
-#: datasource option instead of a Catalyst ``In`` literal list, whose
-#: analysis cost grows with the literal count (seconds at ~10^4 ids).
-IN_FILTER_MAX = 1024
+def _pool_map(spark: SparkSession, fn, items: list) -> list:
+    """``[fn(x) for x in items]`` on ``defaultParallelism`` threads, in
+    order. The first exception a worker raises propagates, and tasks not
+    yet started are cancelled."""
+    if not items:
+        return []
+    pool = ThreadPoolExecutor(min(spark.sparkContext.defaultParallelism, len(items)))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _target_scan(spark: SparkSession, store: MaskStore, meta: pd.DataFrame):
-    """Store scan restricted to exactly ``meta``'s masks, choosing the
-    cheapest correct pruning mechanism:
-
-    - full dataset          -> plain scan (nothing to prune);
-    - whole model groups    -> pushed ``model_id IN`` filter;
-    - small arbitrary set   -> pushed ``mask_id IN`` filter (Catalyst
-      DSv2 pushdown, the paper's verification path);
-    - large arbitrary set   -> ``maskids`` option (same file pruning,
-      no giant literal list for Catalyst to analyse).
-
-    Every path opens exactly ``len(meta)`` mask files.
-    """
-    datasource.register(spark)  # idempotent; callers may not have yet
-    delay = getattr(store, "io_delay_ms", 0.0)
-    n = len(meta)
-    if n == store.n_masks():
-        return datasource.scan(spark, store.root, io_delay_ms=delay)
-    models = sorted(int(v) for v in meta["model_id"].unique())
-    n_per_model = store.spec.n_images
-    if n == n_per_model * len(models) and (
-        meta.groupby("model_id").size() == n_per_model
-    ).all():
-        df = datasource.scan(spark, store.root, io_delay_ms=delay)
-        return df.where(F.col("model_id").isin(models))
-    ids = [int(v) for v in meta["mask_id"]]
-    if n <= IN_FILTER_MAX:
-        df = datasource.scan(spark, store.root, io_delay_ms=delay)
-        return df.where(F.col("mask_id").isin(ids))
-    return datasource.scan(spark, store.root, io_delay_ms=delay, mask_ids=ids)
+def _obj_roi(r) -> tuple[int, int, int, int]:
+    return (r.obj_x1, r.obj_y1, r.obj_x2, r.obj_y2)
 
 
-def _term_params(meta: pd.DataFrame, terms, w: int, h: int) -> dict:
-    """Per-mask resolved (x1, y1, x2, y2, lv, uv) for every term."""
-    return {
-        int(r.mask_id): [
-            (
-                *t.resolve_roi(w, h, (r.obj_x1, r.obj_y1, r.obj_x2, r.obj_y2)),
-                t.lv,
-                t.uv,
-            )
-            for t in terms
-        ]
-        for r in meta.itertuples()
-    }
+def _cp_frame(rows: list, n_terms: int) -> pd.DataFrame:
+    cols = ["mask_id", "image_id", *(f"cp_{i}" for i in range(n_terms))]
+    return pd.DataFrame(rows, columns=cols).astype(np.int64)
+
+
+def _cp_rows(
+    spark: SparkSession,
+    store: MaskStore,
+    meta: pd.DataFrame,
+    terms: tuple[CPTerm, ...],
+    cfg: ChiConfig | None = None,
+    chi_ids: frozenset = frozenset(),
+) -> list[tuple[tuple, np.ndarray | None]]:
+    """Per row of ``meta``: ``((mask_id, image_id, cp_0, ...), H)``, where
+    ``H`` is the mask's CHI under ``cfg`` if it is in ``chi_ids``, else
+    ``None``."""
+    w, h = store.spec.width, store.spec.height
+
+    def _one(r):
+        mid = int(r.mask_id)
+        mask = store.load_mask(mid)
+        cps = [cp(mask, t.resolve_roi(w, h, _obj_roi(r)), t.lv, t.uv) for t in terms]
+        H = build_chi_array(mask, cfg) if mid in chi_ids else None
+        return (mid, int(r.image_id), *cps), H
+
+    return _pool_map(spark, _one, list(meta.itertuples(index=False)))
 
 
 def exact_cp_pdf(
@@ -82,36 +80,10 @@ def exact_cp_pdf(
     """Load the masks in ``meta`` and compute exact CP per term.
 
     Returns ``mask_id, image_id, cp_0..cp_{n-1}`` (pandas; one row per
-    mask). The store scan opens exactly ``len(meta)`` files thanks to
-    the pushed-down ``In`` filter.
+    mask, in ``meta`` order). Opens exactly ``len(meta)`` mask files.
     """
-    cols = [f"cp_{i}" for i in range(len(terms))]
-    empty = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ["mask_id", "image_id", *cols]})
-    if len(meta) == 0:
-        return empty
-    params = _term_params(meta, terms, store.spec.width, store.spec.height)
-    bc = spark.sparkContext.broadcast(params)
-    df = _target_scan(spark, store, meta)
-    schema = "mask_id long, image_id long, " + ", ".join(f"{c} long" for c in cols)
-
-    def _kernel(batches):
-        prm = bc.value
-        for pdf in batches:
-            rows = []
-            for mid, img, hh, ww, vals in zip(
-                pdf["mask_id"], pdf["image_id"], pdf["height"], pdf["width"], pdf["values"]
-            ):
-                mask = np.asarray(vals, dtype=np.float32).reshape(hh, ww)
-                cps = [
-                    cp(mask, (x1, y1, x2, y2), lv, uv)
-                    for (x1, y1, x2, y2, lv, uv) in prm[int(mid)]
-                ]
-                rows.append((int(mid), int(img), *cps))
-            yield pd.DataFrame(rows, columns=["mask_id", "image_id", *cols])
-
-    out = df.mapInPandas(_kernel, schema=schema).toPandas()
-    bc.unpersist()
-    return out if len(out) else empty
+    rows = [row for row, _ in _cp_rows(spark, store, meta, terms)]
+    return _cp_frame(rows, len(terms))
 
 
 def exact_maskagg_pdf(
@@ -121,38 +93,18 @@ def exact_maskagg_pdf(
     t: float,
     term: CPTerm,
 ) -> pd.DataFrame:
-    """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))`` via a
-    grouped ``applyInPandas``: each image's masks are intersected where
-    they land after the shuffle. Returns ``image_id, val``."""
-    if len(meta) == 0:
-        return pd.DataFrame(
-            {"image_id": pd.Series(dtype=np.int64), "val": pd.Series(dtype=np.int64)}
-        )
+    """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))``, one
+    image's masks per task. Returns ``image_id, val`` sorted by image."""
     w, h = store.spec.width, store.spec.height
-    rois = {
-        int(r.image_id): term.resolve_roi(w, h, (r.obj_x1, r.obj_y1, r.obj_x2, r.obj_y2))
-        for r in meta.itertuples()
-    }
-    bc = spark.sparkContext.broadcast((rois, t, term.lv, term.uv))
-    df = _target_scan(spark, store, meta)
 
-    def _agg(pdf: pd.DataFrame) -> pd.DataFrame:
-        rois_b, tt, lv, uv = bc.value
-        img = int(pdf["image_id"].iat[0])
-        masks = [
-            np.asarray(v, dtype=np.float32).reshape(hh, ww)
-            for v, hh, ww in zip(pdf["values"], pdf["height"], pdf["width"])
-        ]
-        m = intersect_threshold(masks, tt)
-        return pd.DataFrame({"image_id": [img], "val": [cp(m, rois_b[img], lv, uv)]})
+    def _one(item):
+        img, g = item
+        roi = term.resolve_roi(w, h, _obj_roi(next(g.itertuples(index=False))))
+        m = intersect_threshold([store.load_mask(mid) for mid in g["mask_id"]], t)
+        return int(img), cp(m, roi, term.lv, term.uv)
 
-    out = (
-        df.groupBy("image_id")
-        .applyInPandas(_agg, schema="image_id long, val long")
-        .toPandas()
-    )
-    bc.unpersist()
-    return out
+    rows = _pool_map(spark, _one, list(meta.groupby("image_id", sort=True)))
+    return pd.DataFrame(rows, columns=["image_id", "val"]).astype(np.int64)
 
 
 def exact_cp_and_chi(
@@ -166,64 +118,19 @@ def exact_cp_and_chi(
     """Incremental-indexing kernel (§3.6): one pass that loads each mask
     and computes exact CPs, additionally building the CHI for the masks
     in ``chi_ids`` (default: all). This lets MS-II answer a query with a
-    *single* scan covering both first-touch masks (CP + CHI) and
-    already-indexed masks that need verification (CP only). Returns
+    *single* load of each mask covering both first-touch masks (CP + CHI)
+    and already-indexed masks that need verification (CP only). Returns
     ``(cp_pdf, chi_mask_ids, H_tensor)``; ``cp_pdf`` covers every mask in
     ``meta``, the CHI outputs only ``chi_ids``.
     """
-    cols = [f"cp_{i}" for i in range(len(terms))]
+    chi_set = frozenset(int(v) for v in (meta["mask_id"] if chi_ids is None else chi_ids))
+    out = _cp_rows(spark, store, meta, terms, cfg, chi_set)
+    built = [(row[0], H) for row, H in out if H is not None]
     nx, ny = cfg.grid(store.spec.width, store.spec.height)
-    empty_H = np.zeros((0, ny + 1, nx + 1, cfg.b), dtype=np.int64)
-    if len(meta) == 0:
-        empty = pd.DataFrame(
-            {c: pd.Series(dtype=np.int64) for c in ["mask_id", "image_id", *cols]}
-        )
-        return empty, np.zeros(0, dtype=np.int64), empty_H
-    chi_set = (
-        frozenset(int(v) for v in meta["mask_id"])
-        if chi_ids is None
-        else frozenset(int(v) for v in chi_ids)
-    )
-    params = _term_params(meta, terms, store.spec.width, store.spec.height)
-    bc = spark.sparkContext.broadcast((params, chi_set))
-    df = _target_scan(spark, store, meta)
-    wc, hc, b = cfg.wc, cfg.hc, cfg.b
-    schema = (
-        "mask_id long, image_id long, "
-        + ", ".join(f"{c} long" for c in cols)
-        + ", h array<long>"
-    )
-
-    def _kernel(batches):
-        prm, chis = bc.value
-        local_cfg = ChiConfig(wc, hc, b)
-        for pdf in batches:
-            rows = []
-            for mid, img, hh, ww, vals in zip(
-                pdf["mask_id"], pdf["image_id"], pdf["height"], pdf["width"], pdf["values"]
-            ):
-                mask = np.asarray(vals, dtype=np.float32).reshape(hh, ww)
-                cps = [
-                    cp(mask, (x1, y1, x2, y2), lv, uv)
-                    for (x1, y1, x2, y2, lv, uv) in prm[int(mid)]
-                ]
-                h_out = (
-                    build_chi_array(mask, local_cfg).ravel().tolist()
-                    if int(mid) in chis
-                    else []
-                )
-                rows.append((int(mid), int(img), *cps, h_out))
-            yield pd.DataFrame(rows, columns=["mask_id", "image_id", *cols, "h"])
-
-    out = df.mapInPandas(_kernel, schema=schema).toPandas()
-    bc.unpersist()
-    with_chi = out[out["h"].map(len) > 0]
     H = (
-        np.stack(
-            [np.asarray(x, dtype=np.int64).reshape(ny + 1, nx + 1, b) for x in with_chi["h"]]
-        )
-        if len(with_chi)
-        else empty_H
+        np.stack([H for _, H in built])
+        if built
+        else np.zeros((0, ny + 1, nx + 1, cfg.b), dtype=np.int64)
     )
-    chi_mask_ids = with_chi["mask_id"].to_numpy(np.int64)
-    return out.drop(columns=["h"]), chi_mask_ids, H
+    chi_mask_ids = np.array([mid for mid, _ in built], dtype=np.int64)
+    return _cp_frame([row for row, _ in out], len(terms)), chi_mask_ids, H

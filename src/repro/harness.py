@@ -44,8 +44,8 @@ def job_session(name: str) -> SparkSession:
     fixture's configuration (local[*], Arrow on, broadcast joins off)."""
     spark = (
         SparkSession.builder.appName(name)
-        # Benchmark queries shuffle at most a few hundred rows of mask
-        # arrays; 16 partitions keeps per-job task overhead low.
+        # Spark here builds datasets and indexes and shuffles little;
+        # 16 partitions keeps per-job task overhead low.
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -115,9 +115,9 @@ def save_markdown(pdf: pd.DataFrame, filename: str, title: str) -> str:
 
 
 def warmup(spark: SparkSession, store: MaskStore) -> None:
-    """Warm the Python-worker / Arrow / DataSource pipeline with one
-    single-mask load so timed queries do not pay Spark's cold-start
-    (the paper's analogue: a running session with a cold page cache)."""
+    """Verify one mask so the timed queries do not pay the first call's
+    one-off costs (the driver-side metadata and its first mask read; the
+    paper's analogue: a running session with a cold page cache)."""
     from repro.core import verify
 
     meta = store.metadata_pandas(spark)
@@ -152,31 +152,34 @@ def run_individual_queries(
     for ex in executors.values():
         ex.store.io_delay_ms = 0.0
         warmup(spark, ex.store)
-        ex.store.io_delay_ms = io_delay_ms
-    for q in table1_queries(spec):
-        if query_names is not None and q.name not in query_names:
-            continue
-        for method, ex in executors.items():
-            # best-of-n like the paper's median-of-5: damps JVM/GC noise
-            dt = float("inf")
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                r = q.run(ex)
-                dt = min(dt, time.perf_counter() - t0)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "query": q.name,
-                    "method": method,
-                    "io_delay_ms": io_delay_ms,
-                    "time_s": round(dt, 3),
-                    "masks_loaded": r.stats.masks_loaded,
-                    "n_targeted": r.stats.n_targeted,
-                    "n_results": len(r.pdf),
-                }
-            )
-    for ex in executors.values():
-        ex.store.io_delay_ms = 0.0
+    try:
+        for ex in executors.values():
+            ex.store.io_delay_ms = io_delay_ms
+        for q in table1_queries(spec):
+            if query_names is not None and q.name not in query_names:
+                continue
+            for method, ex in executors.items():
+                # best-of-n like the paper's median-of-5: damps JVM/GC noise
+                dt = float("inf")
+                for _ in range(max(1, repeats)):
+                    t0 = time.perf_counter()
+                    r = q.run(ex)
+                    dt = min(dt, time.perf_counter() - t0)
+                rows.append(
+                    {
+                        "dataset": dataset,
+                        "query": q.name,
+                        "method": method,
+                        "io_delay_ms": io_delay_ms,
+                        "time_s": round(dt, 3),
+                        "masks_loaded": r.stats.masks_loaded,
+                        "n_targeted": r.stats.n_targeted,
+                        "n_results": len(r.pdf),
+                    }
+                )
+    finally:
+        for ex in executors.values():
+            ex.store.io_delay_ms = 0.0
     return pd.DataFrame(rows)
 
 
@@ -199,7 +202,6 @@ def run_query_types(
     engine = get_engine(spark, dataset)
     spec, _ = DATASETS[dataset]
     warmup(spark, engine.store)
-    engine.store.io_delay_ms = io_delay_ms
     rows = []
 
     def _record(qtype, i, run):
@@ -217,13 +219,16 @@ def run_query_types(
             }
         )
 
-    for i, q in enumerate(random_queries.random_filter_queries(spec, n_filter, seed)):
-        _record("filter", i, lambda q=q: q.run(engine, model_id=1))
-    for i, q in enumerate(random_queries.random_topk_queries(spec, n_topk, seed)):
-        _record("topk", i, lambda q=q: q.run(engine, model_id=1))
-    for i, q in enumerate(random_queries.random_agg_queries(spec, n_agg, seed)):
-        _record("agg", i, lambda q=q: q.run(engine))
-    engine.store.io_delay_ms = 0.0
+    try:
+        engine.store.io_delay_ms = io_delay_ms
+        for i, q in enumerate(random_queries.random_filter_queries(spec, n_filter, seed)):
+            _record("filter", i, lambda q=q: q.run(engine, model_id=1))
+        for i, q in enumerate(random_queries.random_topk_queries(spec, n_topk, seed)):
+            _record("topk", i, lambda q=q: q.run(engine, model_id=1))
+        for i, q in enumerate(random_queries.random_agg_queries(spec, n_agg, seed)):
+            _record("agg", i, lambda q=q: q.run(engine))
+    finally:
+        engine.store.io_delay_ms = 0.0
     return pd.DataFrame(rows)
 
 
@@ -344,35 +349,37 @@ def run_multiquery(
     _, cfg = DATASETS[dataset]
     spec, _ = DATASETS[dataset]
     warmup(spark, store)
-    store.io_delay_ms = io_delay_ms
     rows = []
-    for wid in workload_ids:
-        wl = multi_query.generate_workload(spec, wid, n_queries, seed=seed)
-        runs = {}
-        if "MS" in methods:
-            runs["MS"] = multi_query.run_ms(spark, store, cfg, wl)
-        if "MS-II" in methods:
-            runs["MS-II"] = multi_query.run_msii(spark, store, cfg, wl)
-        if "NumPy" in methods:
-            runs["NumPy"] = multi_query.run_numpy(spark, store, wl)
-        # result consistency across methods
-        ref = next(iter(runs.values()))
-        for r in runs.values():
-            assert r.results == ref.results, "methods disagree on query results"
-        for method, r in runs.items():
-            cum = r.cumulative()
-            for qi in range(len(cum)):
-                rows.append(
-                    {
-                        "dataset": dataset,
-                        "workload": wid,
-                        "method": method,
-                        "query_idx": qi,
-                        "cumulative_s": round(float(cum[qi]), 3),
-                        "masks_loaded": int(r.masks_loaded[qi - 1]) if qi else 0,
-                    }
-                )
-    store.io_delay_ms = 0.0
+    try:
+        store.io_delay_ms = io_delay_ms
+        for wid in workload_ids:
+            wl = multi_query.generate_workload(spec, wid, n_queries, seed=seed)
+            runs = {}
+            if "MS" in methods:
+                runs["MS"] = multi_query.run_ms(spark, store, cfg, wl)
+            if "MS-II" in methods:
+                runs["MS-II"] = multi_query.run_msii(spark, store, cfg, wl)
+            if "NumPy" in methods:
+                runs["NumPy"] = multi_query.run_numpy(spark, store, wl)
+            # result consistency across methods
+            ref = next(iter(runs.values()))
+            for r in runs.values():
+                assert r.results == ref.results, "methods disagree on query results"
+            for method, r in runs.items():
+                cum = r.cumulative()
+                for qi in range(len(cum)):
+                    rows.append(
+                        {
+                            "dataset": dataset,
+                            "workload": wid,
+                            "method": method,
+                            "query_idx": qi,
+                            "cumulative_s": round(float(cum[qi]), 3),
+                            "masks_loaded": int(r.masks_loaded[qi - 1]) if qi else 0,
+                        }
+                    )
+    finally:
+        store.io_delay_ms = 0.0
     return pd.DataFrame(rows)
 
 

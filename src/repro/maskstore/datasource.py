@@ -1,19 +1,19 @@
 """``maskstore`` Python DataSourceV2 with Catalyst predicate pushdown.
 
-This is the verification-stage scan path: Catalyst's V2 pushdown rule
-hands the query's predicates to :meth:`MaskStoreReader.pushFilters`;
-filters on the relational columns (``mask_id``, ``image_id``,
-``model_id``) are consumed there and applied to the *metadata* before
-any mask file is opened, so a scan like
+A DataFrame view of a mask store for Spark users: Catalyst's V2
+pushdown rule hands the query's predicates to
+:meth:`MaskStoreReader.pushFilters`; filters on the relational columns
+(``mask_id``, ``image_id``, ``model_id``) are consumed there and applied
+to the *metadata* before any mask file is opened, so a scan like
 
     spark.read.format("maskstore").options(path=root).load()
          .where(col("mask_id").isin(candidates))
 
-opens exactly the candidate ``.npy`` files. This is how the engine's
-filter-verification framework guarantees that pruned masks are never
-loaded from disk (paper §3.2), expressed through Spark's Catalyst
-extension point available to Python sources (see DESIGN.md §6 for why a
-JVM ``Rule[LogicalPlan]`` is out of scope).
+opens exactly the candidate ``.npy`` files — the paper's guarantee that
+pruned masks are never loaded from disk (§3.2), expressed through the
+Catalyst extension point available to Python sources (see DESIGN.md §6
+for why a JVM ``Rule[LogicalPlan]`` is out of scope). The query engine
+itself verifies candidates on the driver (:mod:`repro.core.verify`).
 
 Rows are produced as Arrow ``RecordBatch`` objects with the mask pixels
 flattened into an ``array<float>`` column (row-major, ``height`` x
@@ -100,14 +100,6 @@ class MaskStoreReader(DataSourceReader):
         # reproducing the paper's provisioned-bandwidth disk where mask
         # loading dominates query time. 0 (default) = raw local I/O.
         self.io_delay_ms = float(options.get("iodelayms", 0.0))
-        # Optional explicit target list (comma-separated mask_ids): the
-        # large-candidate-set fast path — Catalyst ``In`` with thousands
-        # of literals costs seconds of analysis, so callers pass big id
-        # sets through this option and reserve pushFilters for small ones.
-        raw_ids = options.get("maskids")
-        self.target_ids = (
-            frozenset(int(v) for v in raw_ids.split(",") if v) if raw_ids else None
-        )
         self._pushed: List[Filter] = []
 
     # -- Catalyst pushdown ------------------------------------------------
@@ -128,8 +120,6 @@ class MaskStoreReader(DataSourceReader):
         import numpy as np
 
         keep = np.ones(len(meta), dtype=bool)
-        if self.target_ids is not None:
-            keep &= meta["mask_id"].isin(self.target_ids).to_numpy()
         for f in self._pushed:
             col = meta[f.attribute[0]]
             if isinstance(f, In):
@@ -240,19 +230,13 @@ def scan(
     root: str,
     n_partitions: int | None = None,
     io_delay_ms: float = 0.0,
-    mask_ids=None,
 ):
-    """Convenience: DataFrame over the store at ``root``.
-
-    ``mask_ids`` (if given) is passed through the ``maskids`` option —
-    the large-set target path; small sets should use
-    ``.where(col("mask_id").isin(...))`` to exercise Catalyst pushdown.
-    """
+    """Convenience: DataFrame over the store at ``root``; restrict it
+    with ``.where(...)`` on ``mask_id``/``image_id``/``model_id``, which
+    Catalyst pushes into the reader."""
     r = spark.read.format("maskstore").option("path", root)
     if n_partitions is not None:
         r = r.option("numpartitions", str(n_partitions))
     if io_delay_ms:
         r = r.option("iodelayms", str(io_delay_ms))
-    if mask_ids is not None:
-        r = r.option("maskids", ",".join(str(int(v)) for v in mask_ids))
     return r.load()

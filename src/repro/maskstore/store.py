@@ -21,7 +21,10 @@ deterministic per-mask generators from :mod:`repro.masks.synth`.
 from __future__ import annotations
 
 import json
+import math
 import os
+import threading
+import time
 
 import numpy as np
 import pandas as pd
@@ -54,16 +57,40 @@ _META_SCHEMA = (
 #: mask_type for saliency maps (the only type the evaluation uses).
 SALIENCY = 1
 
+#: NumPy parses each ``.npy`` header with ``ast.literal_eval``, which
+#: CPython 3.11.7 cannot run in two threads at once (it raises
+#: ``SystemError: AST constructor recursion depth mismatch``), so
+#: concurrent loads take turns parsing headers; the pixel reads overlap.
+_NPY_HEADER_LOCK = threading.Lock()
+
+
+def _read_npy(path: str) -> np.ndarray:
+    """``np.load`` of one ``.npy`` array, parsing its header under
+    :data:`_NPY_HEADER_LOCK`."""
+    fmt = np.lib.format
+    with open(path, "rb") as f:
+        version = fmt.read_magic(f)
+        with _NPY_HEADER_LOCK:
+            if version == (1, 0):
+                shape, fortran_order, dtype = fmt.read_array_header_1_0(f)
+            else:
+                shape, fortran_order, dtype = fmt.read_array_header_2_0(f)
+        data = np.fromfile(f, dtype=dtype, count=math.prod(shape))
+    return data.reshape(shape, order="F" if fortran_order else "C")
+
 
 class MaskStore:
     """Handle to a materialised mask database rooted at ``root``."""
 
     def __init__(self, root: str, io_delay_ms: float = 0.0):
         self.root = os.path.abspath(root)
-        #: Simulated-EBS per-mask load latency (ms), applied by the
-        #: ``maskstore`` DataSource when this store is scanned through
-        #: :mod:`repro.core.verify` (DESIGN.md §3). 0 = raw local I/O.
+        #: Simulated-EBS per-mask load latency (ms), slept by every
+        #: :meth:`load_mask` (DESIGN.md §4). 0 = raw local I/O.
         self.io_delay_ms = io_delay_ms
+        #: Mask files :meth:`load_mask` has opened; executors report the
+        #: increase over a query as ``QueryStats.masks_opened``.
+        self.masks_opened = 0
+        self._opened_lock = threading.Lock()
         spec_path = os.path.join(self.root, "_SPEC.json")
         with open(spec_path) as f:
             d = json.load(f)
@@ -109,7 +136,19 @@ class MaskStore:
         return self._meta_pdf
 
     def load_mask(self, mask_id: int) -> np.ndarray:
-        return np.load(self.mask_path(mask_id))
+        """Read one mask from disk: the unit of I/O every evaluated system
+        is charged for. Thread-safe. A missing or unreadable file raises
+        ``OSError`` naming the mask."""
+        if self.io_delay_ms:
+            time.sleep(self.io_delay_ms / 1000.0)
+        path = self.mask_path(mask_id)
+        try:
+            mask = _read_npy(path)
+        except (OSError, ValueError) as e:
+            raise OSError(f"cannot load mask {int(mask_id)} from {path}: {e}") from e
+        with self._opened_lock:
+            self.masks_opened += 1
+        return mask
 
     def raw_bytes(self) -> int:
         """Uncompressed dataset size: 4 B per pixel (float32)."""

@@ -1,5 +1,5 @@
 """``maskstore`` DataSourceV2 tests: schema, round-trip, and Catalyst
-filter pushdown (the verification-stage scan path)."""
+filter pushdown."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -121,34 +121,11 @@ class TestPushdown:
         ids = [m for p in r.partitions() for m in p.mask_ids]
         assert sorted(ids) == list(range(tiny_store.n_masks()))
 
-    def test_maskids_option_prunes(self, tiny_store):
-        """The large-candidate-set path: ids via option, not Catalyst."""
-        r = self._reader(tiny_store, maskids="3,5,8")
-        ids = [m for p in r.partitions() for m in p.mask_ids]
-        assert sorted(ids) == [3, 5, 8]
-
-    def test_maskids_option_through_spark(self, spark, tiny_store):
-        ds.register(spark)
-        df = ds.scan(spark, tiny_store.root, mask_ids=[2, 4, 6, 8])
-        assert sorted(r.mask_id for r in df.select("mask_id").collect()) == [2, 4, 6, 8]
-
-    def test_maskids_combines_with_pushed_filter(self, spark, tiny_store):
-        from pyspark.sql import functions as F
-
-        ds.register(spark)
-        df = ds.scan(spark, tiny_store.root, mask_ids=range(0, 20)).where(
-            F.col("model_id") == 1
-        )
-        got = sorted(r.mask_id for r in df.select("mask_id").collect())
-        meta = ds._read_metadata_pandas(tiny_store.root)
-        expect = meta[(meta["mask_id"] < 20) & (meta["model_id"] == 1)]["mask_id"]
-        assert got == sorted(int(v) for v in expect)
-
     def test_io_delay_applied(self, spark, tiny_store):
         """Simulated-EBS mode: per-mask latency slows the scan."""
         import time
 
         ds.register(spark)
         t0 = time.perf_counter()
-        ds.scan(spark, tiny_store.root, mask_ids=[0], io_delay_ms=300).collect()
+        ds.scan(spark, tiny_store.root, io_delay_ms=300).where(F.col("mask_id") == 0).collect()
         assert time.perf_counter() - t0 >= 0.3
